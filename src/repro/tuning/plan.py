@@ -70,6 +70,20 @@ def stage_waves(
     return max(1, math.ceil(demanded / platform.limits.max_concurrency))
 
 
+def sum_in_order(terms: list[float]) -> float:
+    """Σ terms, added left to right.
+
+    Plan totals use this fixed order so that they do not depend on the
+    interpreter (``sum`` compensates float additions from Python 3.12 on)
+    and so that the planner's batched totals, which add stage terms in the
+    same order, match :func:`evaluate_plan` bit for bit.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def evaluate_plan(
     plan: PartitionPlan,
     spec: StageShape,
@@ -89,8 +103,8 @@ def evaluate_plan(
         stage_jct.append(r * point.time_s * waves)
         stage_cost.append(q * r * point.cost_usd)
     return PlanEvaluation(
-        jct_s=sum(stage_jct),
-        cost_usd=sum(stage_cost),
+        jct_s=sum_in_order(stage_jct),
+        cost_usd=sum_in_order(stage_cost),
         stage_jct_s=tuple(stage_jct),
         stage_cost_usd=tuple(stage_cost),
     )
