@@ -108,17 +108,38 @@ class TestSaveRun:
         assert len(cores) == 1
 
     def test_works_alongside_explicit_capture_paths(self, tmp_path, capsys):
-        tel = tmp_path / "tel.json"
-        assert main(
-            ["train", "lr-higgs", "--telemetry", str(tel),
-             "--save-run", str(tmp_path / "runs")]
-        ) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(FaultPlan.default_profile().to_json())
+        flags = {
+            "telemetry": "--telemetry",
+            "trace": "--trace",
+            "events": "--events",
+            "timeseries": "--timeseries",
+            "faults": "--fault-report",
+            "profile": "--profile",
+            "flamegraph": "--flamegraph",
+        }
+        argv = ["train", "lr-higgs", "--faults", str(plan),
+                "--save-run", str(tmp_path / "runs")]
+        for kind, flag in flags.items():
+            argv += [flag, str(tmp_path / kind)]
+        assert main(argv) == 0
         capsys.readouterr()
         store = RunStore(tmp_path / "runs")
         (run_id,) = store.run_ids()
         manifest = store.load(run_id)
-        # The file on disk and the bundled artifact are the same bytes.
-        assert store.read_artifact(manifest, "telemetry") == tel.read_text()
+        assert {e["kind"] for e in manifest["artifacts"]} == set(flags)
+        # Each file on disk and its bundled artifact are the same bytes,
+        # except the --trace file, which also carries the profiler's
+        # host-time frames when --profile is on.
+        for kind in flags.keys() - {"trace"}:
+            written = (tmp_path / kind).read_text()
+            assert store.read_artifact(manifest, kind) == written, kind
+        bundled = json.loads(store.read_artifact(manifest, "trace"))
+        written = json.loads((tmp_path / "trace").read_text())
+        n = len(bundled["traceEvents"])
+        assert written["traceEvents"][:n] == bundled["traceEvents"]
+        assert len(written["traceEvents"]) > n
 
 
 class TestRunsCommand:
