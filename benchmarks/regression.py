@@ -23,15 +23,15 @@ regressions fail the run.
 
 Each entry also records counter *rates* (counter / wall second, e.g.
 planner candidates evaluated per second) — informational only, never
-gated. Three overhead probes re-run ``fig12`` with (a) a live SLO guard,
-(b) the hot-path profiler installed, and (c) the simulated-time series
-sampler installed, each interleaved against a fresh probe-off measurement
-and gated at 1.05x; the profiler entry additionally records the per-phase
-wall-time breakdown under a ``profile`` key, and the sampler entry records
-the capture's series/point counts under a ``timeseries`` key. A fourth
-probe times the whole-repo interprocedural flow analysis (``flow-lint``)
-against an absolute wall-clock budget, since that pass gates CI on every
-change.
+gated. The overhead probes in ``OVERHEAD_PROBES`` re-run ``fig12`` under
+one ride-along each — a live SLO guard, the hot-path profiler, the
+simulated-time sampler, the whole ``--save-run`` bundle, the run journal
+— interleaved against fresh probe-off measurements and gated at 1.05x;
+the profiler entry also records the per-phase wall-time breakdown under a
+``profile`` key, the sampler entry the capture's series/point counts
+under a ``timeseries`` key. One more probe times the whole-repo
+interprocedural flow analysis (``flow-lint``) against an absolute
+wall-clock budget, since that pass gates CI on every change.
 
 ``--inject-slowdown FACTOR`` multiplies the measured wall times before
 comparison — a synthetic regression used by the harness's own tests and
@@ -50,8 +50,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.registry import REGISTRY, run_experiment  # noqa: E402
-from repro.telemetry import get_registry, set_registry  # noqa: E402
-from repro.telemetry.metrics import MetricsRegistry  # noqa: E402
+from repro.runs import Capture, ProvenanceStamp, RunStore, save_run  # noqa: E402
 
 JSON_SCHEMA = "repro-bench/v1"
 DEFAULT_RESULTS = REPO_ROOT / "benchmarks" / "results" / "bench.json"
@@ -71,36 +70,38 @@ TRACKED_COUNTERS = (
 #: recorded but never compared.
 MIN_COMPARABLE_WALL_S = 0.05
 
-#: SLO-guard overhead probe: re-run this experiment with a live event bus
-#: and guard attached and assert the hook layer stays under the ratio.
+#: The experiment every overhead probe re-runs.
 GUARD_BASE_EXPERIMENT = "fig12"
+
+#: Overhead probe entries and their bounds (all 1.05x).
 GUARD_ENTRY = "fig12+slo-guard"
 GUARD_OVERHEAD_RATIO = 1.05
-
-#: Profiler overhead probe: the same experiment with the hot-path profiler
-#: installed; its phase hooks must stay under the same ratio.
 PROFILE_ENTRY = "fig12+profiler"
 PROFILE_OVERHEAD_RATIO = 1.05
-
-#: Time-series sampler overhead probe: the same experiment with the
-#: simulated-time sampler recording; its epoch/event hooks must stay under
-#: the same ratio.
 TS_ENTRY = "fig12+timeseries"
 TS_OVERHEAD_RATIO = 1.05
-
-#: Run-bundle probe: the same experiment with every --save-run collector
-#: forced on (registry, tracer, event log, sampler) plus bundle
-#: serialization and a content-addressed store write at exit; the whole
-#: ride-along must stay under the same ratio.
 SAVE_RUN_ENTRY = "fig12+save-run"
 SAVE_RUN_OVERHEAD_RATIO = 1.05
-
-#: Event-kernel probe: the Fig-12 workloads re-trained with the run
-#: journal recording (and fsyncing) every epoch boundary, interleaved
-#: against journal-off twins of the same runs. Prices the whole
-#: crash-consistency ride-along on the unified kernel's epoch loop.
 KERNEL_ENTRY = "fig12+kernel"
 KERNEL_OVERHEAD_RATIO = 1.05
+
+#: One row per overhead probe: (entry name, capture kinds or "journal",
+#: minimum interleaved pairs, bound, label). A capture probe runs the
+#: experiment inside a :class:`repro.runs.Capture` of those kinds and
+#: saves the bundle into a throwaway store — what the matching CLI flags
+#: cost under ``--save-run``: collection, one serialization, hashing and
+#: store writes. "slo" guards the run with a spec no run can violate. The
+#: journal probe re-trains the Fig-12 workloads with the run journal
+#: recording (and fsyncing) every epoch boundary; its true cost sits well
+#: inside scheduler noise, so it takes more pairs.
+OVERHEAD_PROBES = (
+    (GUARD_ENTRY, ("slo",), 3, GUARD_OVERHEAD_RATIO, "guard"),
+    (PROFILE_ENTRY, ("profile",), 3, PROFILE_OVERHEAD_RATIO, "profiler"),
+    (TS_ENTRY, ("timeseries",), 3, TS_OVERHEAD_RATIO, "sampler"),
+    (SAVE_RUN_ENTRY, ("trace", "events", "timeseries"), 3,
+     SAVE_RUN_OVERHEAD_RATIO, "save-run"),
+    (KERNEL_ENTRY, "journal", 8, KERNEL_OVERHEAD_RATIO, "journal"),
+)
 
 #: Chaos matrix (--chaos): every Fig-12 workload must complete under the
 #: default fault profile — recovering via retries, checkpoint restores and
@@ -134,70 +135,70 @@ def _rates(counters: dict, wall_s: float) -> dict:
     }
 
 
-def measure(experiment: str, scale: str, seed: int, rounds: int) -> dict:
-    """Best-of-``rounds`` wall time + telemetry counter totals."""
-    walls: list[float] = []
-    counters: dict[str, float] = {}
-    for _ in range(rounds):
-        registry = MetricsRegistry()
-        prev = get_registry()
-        set_registry(registry)
-        start = time.perf_counter()
-        try:
-            run_experiment(experiment, scale=scale, seed=seed)
-        finally:
-            set_registry(prev)
-        walls.append(time.perf_counter() - start)
-        counters = {
-            snap.name: sum(s.value for s in snap.samples)
-            for snap in registry.snapshot()
-            if snap.name in TRACKED_COUNTERS
-        }
-    wall = round(min(walls), 4)
-    return {"wall_s": wall, "counters": counters, "rates": _rates(counters, wall)}
+def measure(
+    experiment: str, scale: str, seed: int, rounds: int, kinds: tuple = ()
+) -> dict:
+    """Best-of-``rounds`` wall time + telemetry counter totals.
 
-
-def measure_guarded(experiment: str, scale: str, seed: int, rounds: int) -> dict:
-    """Like :func:`measure`, with a live event bus + SLO guard attached.
-
-    The spec's limits are set far beyond any run so no alert ever fires:
-    the measurement isolates the pure hook-bus + accounting overhead.
+    Every round runs inside a :class:`~repro.runs.Capture` of ``telemetry``
+    (the counters' source) plus ``kinds``; with ``kinds`` the bundle is
+    also saved into a throwaway store inside the timed region. Entries
+    carry a fingerprint of what was captured: ``profile`` (per-phase
+    breakdown), ``timeseries`` (series/point/marker counts), ``bundle``
+    (artifact count and stored bytes).
     """
-    from repro.slo import EventBus, SLOGuard, SLOSpec
-    from repro.slo.events import get_event_bus, set_event_bus
+    import shutil
+    import tempfile
 
-    walls: list[float] = []
-    counters: dict[str, float] = {}
-    for _ in range(rounds):
+    from repro.slo import SLOSpec
+
+    spec = None
+    if "slo" in kinds:
         spec = SLOSpec(name="overhead-probe", deadline_s=1e15, budget_usd=1e15)
-        bus = EventBus()
-        bus.subscribe(SLOGuard(spec).on_event)
-        registry = MetricsRegistry()
-        prev_registry = get_registry()
-        prev_bus = get_event_bus()
-        set_registry(registry)
-        set_event_bus(bus)
-        start = time.perf_counter()
+    stamp = ProvenanceStamp.collect("bench", workload=experiment, seed=seed)
+    walls: list[float] = []
+    for _ in range(rounds):
+        capture = Capture(
+            stamp, dict.fromkeys(("telemetry", *kinds)), slo_spec=spec
+        )
+        tmp = tempfile.mkdtemp(prefix="repro-bench-runs-") if kinds else None
         try:
-            run_experiment(experiment, scale=scale, seed=seed)
+            start = time.perf_counter()
+            with capture:
+                run_experiment(experiment, scale=scale, seed=seed)
+            if tmp is not None:
+                bundle = save_run(RunStore(tmp), capture)
+            walls.append(time.perf_counter() - start)
         finally:
-            set_registry(prev_registry)
-            set_event_bus(prev_bus)
-        walls.append(time.perf_counter() - start)
-        counters = {
-            snap.name: sum(s.value for s in snap.samples)
-            for snap in registry.snapshot()
-            if snap.name in TRACKED_COUNTERS
-        }
+            if tmp is not None:
+                shutil.rmtree(tmp, ignore_errors=True)
+    counters = {
+        snap.name: sum(s.value for s in snap.samples)
+        for snap in capture.registry.snapshot()
+        if snap.name in TRACKED_COUNTERS
+    }
     wall = round(min(walls), 4)
-    return {"wall_s": wall, "counters": counters, "rates": _rates(counters, wall)}
+    entry = {"wall_s": wall, "counters": counters, "rates": _rates(counters, wall)}
+    if capture.profiler is not None:
+        entry["profile"] = _phase_breakdown(capture.payload("profile"))
+    if capture.sampler is not None:
+        entry["timeseries"] = {
+            "n_series": len(capture.sampler.series),
+            "n_points": capture.sampler.n_points(),
+            "n_markers": len(capture.sampler.markers),
+        }
+    if tmp is not None:
+        entry["bundle"] = {
+            "n_artifacts": len(bundle.artifacts),
+            "n_bytes": sum(
+                len(a.text.encode("utf-8")) for a in bundle.artifacts
+            ),
+        }
+    return entry
 
 
-def _phase_breakdown(profiler) -> dict:
+def _phase_breakdown(payload: dict) -> dict:
     """Top-level profiling frames (depth <= 2) for a bench entry."""
-    from repro.profiling import capture_payload
-
-    payload = capture_payload(profiler)
     return {
         frame["path"]: {
             "n_calls": frame["n_calls"],
@@ -207,239 +208,6 @@ def _phase_breakdown(profiler) -> dict:
         for frame in payload["frames"]
         if frame["depth"] <= 2
     }
-
-
-def measure_profiled(experiment: str, scale: str, seed: int, rounds: int) -> dict:
-    """Like :func:`measure`, with the hot-path profiler installed.
-
-    The returned entry carries a ``profile`` key: per-phase wall-time
-    breakdowns (planner phases, scheduler re-plans, epoch execution) from
-    the run's ``repro-profile/v1`` aggregates.
-    """
-    from repro.profiling import Profiler, get_profiler, set_profiler
-
-    walls: list[float] = []
-    counters: dict[str, float] = {}
-    breakdown: dict = {}
-    for _ in range(rounds):
-        profiler = Profiler()
-        registry = MetricsRegistry()
-        prev_registry = get_registry()
-        prev_profiler = get_profiler()
-        set_registry(registry)
-        set_profiler(profiler)
-        start = time.perf_counter()
-        try:
-            run_experiment(experiment, scale=scale, seed=seed)
-        finally:
-            set_registry(prev_registry)
-            set_profiler(prev_profiler)
-            profiler.close()
-        walls.append(time.perf_counter() - start)
-        counters = {
-            snap.name: sum(s.value for s in snap.samples)
-            for snap in registry.snapshot()
-            if snap.name in TRACKED_COUNTERS
-        }
-        breakdown = _phase_breakdown(profiler)
-    wall = round(min(walls), 4)
-    return {
-        "wall_s": wall,
-        "counters": counters,
-        "rates": _rates(counters, wall),
-        "profile": breakdown,
-    }
-
-
-def measure_profile_overhead(
-    experiment: str, scale: str, seed: int, rounds: int
-) -> tuple[dict, dict]:
-    """(profiler-off, profiler-on) entries from interleaved best-of pairs.
-
-    Same discipline as :func:`measure_guard_overhead`: alternate the two
-    variants so load drift cancels, then compare each side's best.
-    """
-    pairs = max(3, rounds)
-    base = measure(experiment, scale, seed, 1)
-    profiled = measure_profiled(experiment, scale, seed, 1)
-    for _ in range(pairs - 1):
-        base_again = measure(experiment, scale, seed, 1)
-        profiled_again = measure_profiled(experiment, scale, seed, 1)
-        if base_again["wall_s"] < base["wall_s"]:
-            base = base_again
-        if profiled_again["wall_s"] < profiled["wall_s"]:
-            profiled = profiled_again
-    return base, profiled
-
-
-def measure_sampled(experiment: str, scale: str, seed: int, rounds: int) -> dict:
-    """Like :func:`measure`, with the simulated-time sampler installed.
-
-    The returned entry carries a ``timeseries`` key: how many series,
-    stored points and markers the capture held — a cheap fingerprint of
-    what the sampler actually recorded during the bench run.
-    """
-    from repro.timeseries import TimeSeriesSampler, get_sampler, set_sampler
-
-    walls: list[float] = []
-    counters: dict[str, float] = {}
-    recorded: dict = {}
-    for _ in range(rounds):
-        sampler = TimeSeriesSampler()
-        registry = MetricsRegistry()
-        prev_registry = get_registry()
-        prev_sampler = get_sampler()
-        set_registry(registry)
-        set_sampler(sampler)
-        start = time.perf_counter()
-        try:
-            run_experiment(experiment, scale=scale, seed=seed)
-        finally:
-            set_registry(prev_registry)
-            set_sampler(prev_sampler)
-        walls.append(time.perf_counter() - start)
-        counters = {
-            snap.name: sum(s.value for s in snap.samples)
-            for snap in registry.snapshot()
-            if snap.name in TRACKED_COUNTERS
-        }
-        recorded = {
-            "n_series": len(sampler.series),
-            "n_points": sampler.n_points(),
-            "n_markers": len(sampler.markers),
-        }
-    wall = round(min(walls), 4)
-    return {
-        "wall_s": wall,
-        "counters": counters,
-        "rates": _rates(counters, wall),
-        "timeseries": recorded,
-    }
-
-
-def measure_sampler_overhead(
-    experiment: str, scale: str, seed: int, rounds: int
-) -> tuple[dict, dict]:
-    """(sampler-off, sampler-on) entries from interleaved best-of pairs.
-
-    Same discipline as :func:`measure_guard_overhead`: alternate the two
-    variants so load drift cancels, then compare each side's best.
-    """
-    pairs = max(3, rounds)
-    base = measure(experiment, scale, seed, 1)
-    sampled = measure_sampled(experiment, scale, seed, 1)
-    for _ in range(pairs - 1):
-        base_again = measure(experiment, scale, seed, 1)
-        sampled_again = measure_sampled(experiment, scale, seed, 1)
-        if base_again["wall_s"] < base["wall_s"]:
-            base = base_again
-        if sampled_again["wall_s"] < sampled["wall_s"]:
-            sampled = sampled_again
-    return base, sampled
-
-
-def measure_saved(experiment: str, scale: str, seed: int, rounds: int) -> dict:
-    """Like :func:`measure`, with the full --save-run ride-along attached.
-
-    Forces on every collector ``--save-run`` forces on (metrics registry,
-    tracer, SLO event log, time-series sampler), then — still inside the
-    timed region — serializes the bundle and saves it into a throwaway
-    content-addressed store, so the entry prices the whole ride-along:
-    collection, serialization, hashing and store writes. The returned
-    entry carries a ``bundle`` key with the artifact count and total
-    stored bytes as a fingerprint of what the saver captured.
-    """
-    import shutil
-    import tempfile
-
-    from repro.runs import ProvenanceStamp, RunStore, save_run
-    from repro.slo import SLOSession
-    from repro.telemetry.session import TelemetrySession
-    from repro.timeseries import TimeSeriesSession
-
-    walls: list[float] = []
-    counters: dict[str, float] = {}
-    recorded: dict = {}
-    for _ in range(rounds):
-        stamp = ProvenanceStamp.collect("bench", workload=experiment, seed=seed)
-        tmp = tempfile.mkdtemp(prefix="repro-bench-runs-")
-        try:
-            start = time.perf_counter()
-            with (
-                TelemetrySession(meta=stamp, force_install=True) as telemetry,
-                SLOSession(meta=stamp, force_log=True) as slo,
-                TimeSeriesSession(meta=stamp, force_install=True) as ts,
-            ):
-                run_experiment(experiment, scale=scale, seed=seed)
-            bundle = save_run(
-                RunStore(tmp), stamp,
-                telemetry=telemetry, slo=slo, timeseries=ts,
-            )
-            walls.append(time.perf_counter() - start)
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        counters = {
-            snap.name: sum(s.value for s in snap.samples)
-            for snap in telemetry.registry.snapshot()
-            if snap.name in TRACKED_COUNTERS
-        }
-        recorded = {
-            "n_artifacts": len(bundle.artifacts),
-            "n_bytes": sum(
-                len(a.text.encode("utf-8")) for a in bundle.artifacts
-            ),
-        }
-    wall = round(min(walls), 4)
-    return {
-        "wall_s": wall,
-        "counters": counters,
-        "rates": _rates(counters, wall),
-        "bundle": recorded,
-    }
-
-
-def measure_save_run_overhead(
-    experiment: str, scale: str, seed: int, rounds: int
-) -> tuple[dict, dict]:
-    """(save-run-off, save-run-on) entries from interleaved best-of pairs.
-
-    Same discipline as :func:`measure_guard_overhead`: alternate the two
-    variants so load drift cancels, then compare each side's best.
-    """
-    pairs = max(3, rounds)
-    base = measure(experiment, scale, seed, 1)
-    saved = measure_saved(experiment, scale, seed, 1)
-    for _ in range(pairs - 1):
-        base_again = measure(experiment, scale, seed, 1)
-        saved_again = measure_saved(experiment, scale, seed, 1)
-        if base_again["wall_s"] < base["wall_s"]:
-            base = base_again
-        if saved_again["wall_s"] < saved["wall_s"]:
-            saved = saved_again
-    return base, saved
-
-
-def measure_guard_overhead(
-    experiment: str, scale: str, seed: int, rounds: int
-) -> tuple[dict, dict]:
-    """(guard-off, guard-on) entries from interleaved best-of pairs.
-
-    Machine load drifts over the minutes a bench run takes; measuring the
-    two variants back to back per round (at least two rounds) and taking
-    each side's best keeps the overhead ratio about the hook bus rather
-    than about the machine.
-    """
-    pairs = max(3, rounds)
-    base = measure(experiment, scale, seed, 1)
-    guarded = measure_guarded(experiment, scale, seed, 1)
-    for _ in range(pairs - 1):
-        base_again = measure(experiment, scale, seed, 1)
-        guarded_again = measure_guarded(experiment, scale, seed, 1)
-        if base_again["wall_s"] < base["wall_s"]:
-            base = base_again
-        if guarded_again["wall_s"] < guarded["wall_s"]:
-            guarded = guarded_again
-    return base, guarded
 
 
 def measure_kernel_training(
@@ -497,27 +265,29 @@ def measure_kernel_training(
     return entry
 
 
-def measure_kernel_overhead(
-    scale: str, seed: int, rounds: int
+def measure_overhead(
+    kinds, experiment: str, scale: str, seed: int, rounds: int, min_pairs: int
 ) -> tuple[dict, dict]:
-    """(journal-off, journal-on) entries from interleaved best-of pairs.
+    """(probe-off, probe-on) entries from interleaved best-of pairs.
 
-    Same discipline as :func:`measure_guard_overhead`, with more pairs:
-    the journal's true cost (~100 fsyncs against seconds of training)
-    sits well inside scheduler noise, so each side needs more samples
-    for its best to converge on the real minimum.
+    Machine load drifts over the minutes a bench run takes; measuring the
+    two variants back to back per pair and taking each side's best keeps
+    the overhead ratio about the ride-along rather than about the machine.
     """
-    pairs = max(8, rounds)
-    base = measure_kernel_training(scale, seed, journal=False)
-    journaled = measure_kernel_training(scale, seed, journal=True)
-    for _ in range(pairs - 1):
-        base_again = measure_kernel_training(scale, seed, journal=False)
-        journaled_again = measure_kernel_training(scale, seed, journal=True)
+    if kinds == "journal":
+        def run(on: bool) -> dict:
+            return measure_kernel_training(scale, seed, journal=on)
+    else:
+        def run(on: bool) -> dict:
+            return measure(experiment, scale, seed, 1, kinds if on else ())
+    base, probed = run(False), run(True)
+    for _ in range(max(min_pairs, rounds) - 1):
+        base_again, probed_again = run(False), run(True)
         if base_again["wall_s"] < base["wall_s"]:
             base = base_again
-        if journaled_again["wall_s"] < journaled["wall_s"]:
-            journaled = journaled_again
-    return base, journaled
+        if probed_again["wall_s"] < probed["wall_s"]:
+            probed = probed_again
+    return base, probed
 
 
 def run_chaos_matrix(scale: str, seed: int) -> tuple[dict, list[str]]:
@@ -840,129 +610,33 @@ def main(argv: list[str] | None = None) -> int:
         slowdown=args.inject_slowdown,
     )
 
-    # SLO-guard overhead probe: same experiment, live hook bus attached.
-    # Compared within-run against a freshly interleaved guard-off
-    # measurement, so the check is immune both to machine-to-machine speed
-    # differences and to load drift across the minutes of a full suite.
+    # Overhead probes: each compared within-run against freshly
+    # interleaved probe-off measurements, so the check is immune both to
+    # machine-to-machine speed differences and to load drift across the
+    # minutes of a full suite.
     guard_regressions: list[str] = []
     if GUARD_BASE_EXPERIMENT in current["experiments"]:
-        base, entry = measure_guard_overhead(
-            GUARD_BASE_EXPERIMENT, args.scale, args.seed, args.rounds
-        )
-        if args.inject_slowdown != 1.0:
-            entry["wall_s"] = round(entry["wall_s"] * args.inject_slowdown, 4)
-            base["wall_s"] = round(base["wall_s"] * args.inject_slowdown, 4)
-        current["experiments"][GUARD_ENTRY] = entry
-        print(f"  {GUARD_ENTRY:20s} {entry['wall_s']:9.3f} s"
-              f"  (interleaved guard-off {base['wall_s']:.3f} s)")
-        base_wall = base["wall_s"]
-        if (
-            base_wall >= MIN_COMPARABLE_WALL_S
-            and entry["wall_s"] > base_wall * GUARD_OVERHEAD_RATIO
-        ):
-            guard_regressions.append(
-                f"{GUARD_ENTRY}: {entry['wall_s']:.3f} s vs guard-off "
-                f"{base_wall:.3f} s ({entry['wall_s'] / base_wall:.2f}x > "
-                f"{GUARD_OVERHEAD_RATIO:.2f}x hook-bus overhead budget)"
+        for name, kinds, min_pairs, ratio, label in OVERHEAD_PROBES:
+            base, entry = measure_overhead(
+                kinds, GUARD_BASE_EXPERIMENT, args.scale, args.seed,
+                args.rounds, min_pairs,
             )
-
-    # Profiler overhead probe: the same experiment with the hot-path
-    # profiler installed. The phase hooks are supposed to be cheap enough
-    # to leave on for any bench run; this keeps that promise honest.
-    if GUARD_BASE_EXPERIMENT in current["experiments"]:
-        base, entry = measure_profile_overhead(
-            GUARD_BASE_EXPERIMENT, args.scale, args.seed, args.rounds
-        )
-        if args.inject_slowdown != 1.0:
-            entry["wall_s"] = round(entry["wall_s"] * args.inject_slowdown, 4)
-            base["wall_s"] = round(base["wall_s"] * args.inject_slowdown, 4)
-        current["experiments"][PROFILE_ENTRY] = entry
-        print(f"  {PROFILE_ENTRY:20s} {entry['wall_s']:9.3f} s"
-              f"  (interleaved profiler-off {base['wall_s']:.3f} s)")
-        base_wall = base["wall_s"]
-        if (
-            base_wall >= MIN_COMPARABLE_WALL_S
-            and entry["wall_s"] > base_wall * PROFILE_OVERHEAD_RATIO
-        ):
-            guard_regressions.append(
-                f"{PROFILE_ENTRY}: {entry['wall_s']:.3f} s vs profiler-off "
-                f"{base_wall:.3f} s ({entry['wall_s'] / base_wall:.2f}x > "
-                f"{PROFILE_OVERHEAD_RATIO:.2f}x phase-hook overhead budget)"
-            )
-
-    # Time-series sampler overhead probe: the same experiment with the
-    # simulated-time sampler recording every epoch boundary and bus event.
-    # The null-object default means runs without the sampler pay one
-    # attribute check; this keeps the sampler-on path cheap too.
-    if GUARD_BASE_EXPERIMENT in current["experiments"]:
-        base, entry = measure_sampler_overhead(
-            GUARD_BASE_EXPERIMENT, args.scale, args.seed, args.rounds
-        )
-        if args.inject_slowdown != 1.0:
-            entry["wall_s"] = round(entry["wall_s"] * args.inject_slowdown, 4)
-            base["wall_s"] = round(base["wall_s"] * args.inject_slowdown, 4)
-        current["experiments"][TS_ENTRY] = entry
-        print(f"  {TS_ENTRY:20s} {entry['wall_s']:9.3f} s"
-              f"  (interleaved sampler-off {base['wall_s']:.3f} s)")
-        base_wall = base["wall_s"]
-        if (
-            base_wall >= MIN_COMPARABLE_WALL_S
-            and entry["wall_s"] > base_wall * TS_OVERHEAD_RATIO
-        ):
-            guard_regressions.append(
-                f"{TS_ENTRY}: {entry['wall_s']:.3f} s vs sampler-off "
-                f"{base_wall:.3f} s ({entry['wall_s'] / base_wall:.2f}x > "
-                f"{TS_OVERHEAD_RATIO:.2f}x sampling overhead budget)"
-            )
-
-    # Run-bundle probe: the same experiment with every --save-run collector
-    # forced on plus bundle serialization and the store write. Prices the
-    # full provenance ride-along, not just one collector.
-    if GUARD_BASE_EXPERIMENT in current["experiments"]:
-        base, entry = measure_save_run_overhead(
-            GUARD_BASE_EXPERIMENT, args.scale, args.seed, args.rounds
-        )
-        if args.inject_slowdown != 1.0:
-            entry["wall_s"] = round(entry["wall_s"] * args.inject_slowdown, 4)
-            base["wall_s"] = round(base["wall_s"] * args.inject_slowdown, 4)
-        current["experiments"][SAVE_RUN_ENTRY] = entry
-        print(f"  {SAVE_RUN_ENTRY:20s} {entry['wall_s']:9.3f} s"
-              f"  (interleaved save-run-off {base['wall_s']:.3f} s)")
-        base_wall = base["wall_s"]
-        if (
-            base_wall >= MIN_COMPARABLE_WALL_S
-            and entry["wall_s"] > base_wall * SAVE_RUN_OVERHEAD_RATIO
-        ):
-            guard_regressions.append(
-                f"{SAVE_RUN_ENTRY}: {entry['wall_s']:.3f} s vs save-run-off "
-                f"{base_wall:.3f} s ({entry['wall_s'] / base_wall:.2f}x > "
-                f"{SAVE_RUN_OVERHEAD_RATIO:.2f}x run-bundle overhead budget)"
-            )
-
-    # Event-kernel probe: the same workloads re-trained with the run
-    # journal recording (and fsyncing) every epoch boundary, against
-    # interleaved journal-off twins. Everything dispatches through the
-    # unified kernel either way; the delta prices crash consistency.
-    if GUARD_BASE_EXPERIMENT in current["experiments"]:
-        base, entry = measure_kernel_overhead(
-            args.scale, args.seed, args.rounds
-        )
-        if args.inject_slowdown != 1.0:
-            entry["wall_s"] = round(entry["wall_s"] * args.inject_slowdown, 4)
-            base["wall_s"] = round(base["wall_s"] * args.inject_slowdown, 4)
-        current["experiments"][KERNEL_ENTRY] = entry
-        print(f"  {KERNEL_ENTRY:20s} {entry['wall_s']:9.3f} s"
-              f"  (interleaved journal-off {base['wall_s']:.3f} s)")
-        base_wall = base["wall_s"]
-        if (
-            base_wall >= MIN_COMPARABLE_WALL_S
-            and entry["wall_s"] > base_wall * KERNEL_OVERHEAD_RATIO
-        ):
-            guard_regressions.append(
-                f"{KERNEL_ENTRY}: {entry['wall_s']:.3f} s vs journal-off "
-                f"{base_wall:.3f} s ({entry['wall_s'] / base_wall:.2f}x > "
-                f"{KERNEL_OVERHEAD_RATIO:.2f}x journal overhead budget)"
-            )
+            if args.inject_slowdown != 1.0:
+                entry["wall_s"] = round(entry["wall_s"] * args.inject_slowdown, 4)
+                base["wall_s"] = round(base["wall_s"] * args.inject_slowdown, 4)
+            current["experiments"][name] = entry
+            print(f"  {name:20s} {entry['wall_s']:9.3f} s"
+                  f"  (interleaved {label}-off {base['wall_s']:.3f} s)")
+            base_wall = base["wall_s"]
+            if (
+                base_wall >= MIN_COMPARABLE_WALL_S
+                and entry["wall_s"] > base_wall * ratio
+            ):
+                guard_regressions.append(
+                    f"{name}: {entry['wall_s']:.3f} s vs {label}-off "
+                    f"{base_wall:.3f} s ({entry['wall_s'] / base_wall:.2f}x "
+                    f"> {ratio:.2f}x overhead budget)"
+                )
 
     # Flow-analysis wall-time probe: the interprocedural lint layer gates
     # CI on every change, so its own cost is a budgeted quantity. Unlike

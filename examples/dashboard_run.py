@@ -1,7 +1,8 @@
 """Simulated-time metrics walkthrough: sample a run, replay its dashboard.
 
-Wraps one training job in a :class:`repro.timeseries.TimeSeriesSession`,
-which records resource trajectories on the *simulated* clock — in-flight
+Wraps one training job in a :class:`repro.Capture` asking for the
+``timeseries`` kind (what ``repro train --timeseries PATH`` does), which
+records resource trajectories on the *simulated* clock — in-flight
 invocations against the account limit, warm-pool size, cold-start rate,
 the scheduler's active (m, s) allocation with reallocation markers, and
 cumulative spend — then shows the three surfaces built on the capture:
@@ -21,13 +22,11 @@ Run:  python examples/dashboard_run.py
 import tempfile
 from pathlib import Path
 
-from repro import workload
+from repro import Capture, workload
 from repro.timeseries import (
-    TimeSeriesSession,
     detect_anomalies,
     diff_captures,
     load_capture,
-    peaks_summary,
     render_dashboard,
     render_diff,
 )
@@ -41,13 +40,12 @@ def main() -> None:
     profile = profile_workload(w)
     budget = training_envelope(w, profile).budget(2.5)
 
-    # 1. Sample a training run; the session writes the capture on exit.
+    # 1. Sample a training run; the capture writes the file on exit.
     out_dir = Path(tempfile.mkdtemp(prefix="repro-timeseries-"))
     capture_path = out_dir / "run.timeseries.json"
-    with TimeSeriesSession(
-        capture_path=capture_path,
-        meta={"workload": "lr-higgs", "seed": 0},
-    ) as session:
+    with Capture(
+        {"workload": "lr-higgs", "seed": 0}, {"timeseries": capture_path}
+    ) as capture:
         run_training(
             w, method="ce-scaling", objective=Objective.MIN_JCT_GIVEN_BUDGET,
             budget_usd=budget, seed=0, profile=profile,
@@ -59,8 +57,9 @@ def main() -> None:
     print(f"capture written to {capture_path}")
     print(f"replay it with: python -m repro dash --replay {capture_path}")
 
-    # 3. High-water marks — the `peaks` section of `repro report`.
-    peaks = peaks_summary(session.sampler)
+    # 3. High-water marks — the `peaks` section of `repro report`, which
+    #    the capture adds to the run summary whenever sampling was on.
+    peaks = capture.run_summary["peaks"]
     print(f"\npeak concurrency {peaks['concurrency']:g}, "
           f"peak warm pool {peaks['warm_pool']:g}, "
           f"peak storage bandwidth {peaks['storage_bandwidth_mb_s']:g} MB/s")

@@ -30,8 +30,9 @@ Layer map (bottom-up):
   frames, attributed counters, flamegraphs, capture diffing.
 * ``repro.timeseries`` — simulated-time resource series: sampler,
   terminal dashboard, capture diffing, anomaly detection.
-* ``repro.runs`` — provenance-stamped run bundles: content-addressed
-  local registry plus the cross-run regression observatory.
+* ``repro.runs`` — :class:`Capture`, the one capture session, plus
+  provenance-stamped run bundles: content-addressed local registry and
+  the cross-run regression observatory.
 """
 
 from repro.common.types import Allocation, JobResult, PricingPattern, StorageKind
@@ -49,16 +50,16 @@ from repro.analytical.profiler import ParetoProfiler, ProfileResult
 from repro.ml.models import WORKLOADS, Workload, workload
 from repro.profiling import Profiler, profile_phase, set_profiler
 from repro.runs import (
+    Capture,
     ProvenanceStamp,
     RunBundle,
     RunStore,
     compare_runs,
     save_run,
 )
-from repro.slo import SLOGuard, SLOSession, SLOSpec, evaluate_guard, replay_events
+from repro.slo import SLOGuard, SLOSpec, evaluate_guard, replay_events
 from repro.timeseries import (
     TimeSeriesSampler,
-    TimeSeriesSession,
     detect_anomalies,
     set_sampler,
 )
@@ -75,6 +76,7 @@ from repro._version import __version__
 __all__ = [
     "AdaptiveScheduler",
     "Allocation",
+    "Capture",
     "DEFAULT_PLATFORM",
     "DiagnosticsReport",
     "FaultInjector",
@@ -98,11 +100,9 @@ __all__ = [
     "RunStore",
     "SHASpec",
     "SLOGuard",
-    "SLOSession",
     "SLOSpec",
     "StorageKind",
     "TimeSeriesSampler",
-    "TimeSeriesSession",
     "Tracer",
     "WORKLOADS",
     "Workload",

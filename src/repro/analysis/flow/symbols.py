@@ -46,8 +46,8 @@ _FROZEN_CONSTRUCTORS = frozenset({"frozenset", "tuple", "compile"})
 
 
 def module_name_of(ctx: ModuleContext) -> str:
-    """Dotted module name for a context (``repro/faas/events.py`` ->
-    ``repro.faas.events``; package ``__init__`` files name the package)."""
+    """Dotted module name for a context (``repro/faas/platform.py`` ->
+    ``repro.faas.platform``; package ``__init__`` files name the package)."""
     parts = ctx.parts
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]

@@ -7,7 +7,7 @@ or legacy ``numpy.random.*`` calls, ``uuid1/uuid4``, ``os.urandom``,
 PYTHONHASHSEED) all break that contract.
 
 REP002: simulated components must read time from the discrete-event clock
-(``Simulator.now`` in ``repro.faas.events``), never the host. A single
+(``EventKernel.now`` in ``repro.kernel``), never the host. A single
 ``time.time()`` on a simulation path couples results to the machine that
 produced them.
 """
@@ -134,5 +134,5 @@ class WallClockRule(Rule):
                     ctx,
                     node,
                     f"{target}() reads the host clock inside a simulated "
-                    "package; use the event-loop clock (Simulator.now)",
+                    "package; use the event-loop clock (EventKernel.now)",
                 )

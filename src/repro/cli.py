@@ -30,7 +30,6 @@ from repro.ml.models import WORKLOADS, workload
 from repro.runs.store import DEFAULT_STORE_ROOT
 from repro.telemetry.exporters import from_json_payload
 from repro.telemetry.report import RunReport
-from repro.telemetry.session import TelemetrySession
 from repro.tuning.plan import Objective
 from repro.tuning.sha import SHASpec
 from repro.experiments.registry import REGISTRY, run_experiment
@@ -84,42 +83,94 @@ def _save_store(args) -> str | None:
     return getattr(args, "save_run", None)
 
 
-def _session(args, command: str) -> TelemetrySession:
-    """Telemetry capture scoped to one CLI command (no-op without flags).
+#: Capture kind -> the argparse dest of the flag that names its file.
+_CAPTURE_FLAGS = {
+    "telemetry": "telemetry",
+    "trace": "trace",
+    "events": "events",
+    "profile": "profile",
+    "flamegraph": "flamegraph",
+    "timeseries": "timeseries",
+    "faults": "fault_report",
+}
 
-    ``--save-run`` forces the collectors on (without file writes) so the
-    bundle saver can snapshot them after exit.
+
+def _capture(args, command: str):
+    """The command's :class:`~repro.runs.Capture` (inert without flags).
+
+    Each capture flag's path becomes a file. ``--save-run`` adds the
+    bundle's kinds (and the profile/flamegraph pair when either is on),
+    collected without a file. Raises on a bad ``--slo`` spec.
     """
-    return TelemetrySession(
-        metrics_path=getattr(args, "telemetry", None),
-        trace_path=getattr(args, "trace", None),
-        meta=_stamp(args, command),
-        force_install=bool(_save_store(args)),
+    from repro.runs.saver import BUNDLE_KINDS, Capture
+
+    files = {
+        kind: getattr(args, dest, None) for kind, dest in _CAPTURE_FLAGS.items()
+    }
+    files = {kind: path for kind, path in files.items() if path}
+    if _save_store(args):
+        bundled = list(BUNDLE_KINDS)
+        if files.keys() & {"profile", "flamegraph"}:
+            bundled += ["profile", "flamegraph"]
+        for kind in bundled:
+            files.setdefault(kind, None)
+    return Capture(
+        _stamp(args, command), files, slo_spec=getattr(args, "slo", None)
     )
 
 
-def _slo_session(args, command: str):
-    """SLO guarding scoped to one CLI command (inert without flags)."""
-    from repro.slo import SLOSession
+def _finish_capture(args, capture) -> None:
+    """Report what the capture wrote; bundle it under ``--save-run``."""
+    if capture.profiler is not None:
+        totals = capture.payload("profile")["totals"]
+        wrote = [
+            str(capture.files[kind])
+            for kind in ("profile", "flamegraph")
+            if capture.files.get(kind) is not None
+        ]
+        print(
+            f"profile : {totals['n_frames']} frame(s), {totals['n_calls']} "
+            f"call(s) -> {', '.join(wrote)}"
+        )
+    path = capture.files.get("timeseries")
+    if path is not None:
+        sampler = capture.sampler
+        print(
+            f"timeseries : {len(sampler.series)} series, "
+            f"{sampler.n_points()} point(s), {len(sampler.markers)} marker(s) "
+            f"-> {path}"
+        )
+    store_root = _save_store(args)
+    if store_root:
+        from repro.runs import RunStore, save_run
 
-    return SLOSession(
-        spec=getattr(args, "slo", None),
-        events_path=getattr(args, "events", None),
-        meta=_stamp(args, command),
-        force_log=bool(_save_store(args)),
-    )
+        bundle = save_run(RunStore(store_root), capture)
+        print(
+            f"run    : {bundle.run_id} ({len(bundle.artifacts)} artifact(s)) "
+            f"-> {store_root}"
+        )
 
 
-def _finish_slo(slo) -> int:
+def _finish_slo(capture) -> int:
     """Print the guard's report after a run; 1 if any SLO was violated."""
-    if slo.guard is None:
+    report = capture.slo_report
+    if report is None:
         return 0
-    from repro.slo import evaluate_guard
-
-    report = evaluate_guard(slo.guard, meta=slo.meta)
     print()
     print(report.render())
     return 1 if report.violated else 0
+
+
+def _print_faults(ledger) -> None:
+    """The one-line fault summary of a faulted run."""
+    if ledger is None:
+        return
+    s = ledger.summary()
+    print(
+        f"faults : {s['n_faults']} injected, {s['n_recoveries']} recovery "
+        f"action(s); lost {format_duration(s['fault_time_s'])}, recovery "
+        f"overhead {format_duration(s['recovery_time_s'])}"
+    )
 
 
 def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
@@ -157,26 +208,6 @@ def _fault_plan(args):
     return FaultPlan.load(path)
 
 
-def _finish_faults(args, ledger, plan, command: str) -> None:
-    """Print the one-line fault summary; write --fault-report if asked."""
-    if ledger is None:
-        return
-    s = ledger.summary()
-    print(
-        f"faults : {s['n_faults']} injected, {s['n_recoveries']} recovery "
-        f"action(s); lost {format_duration(s['fault_time_s'])}, recovery "
-        f"overhead {format_duration(s['recovery_time_s'])}"
-    )
-    out = getattr(args, "fault_report", None)
-    if out:
-        Path(out).write_text(
-            ledger.to_json(
-                plan.to_payload() if plan is not None else None,
-                meta=_stamp(args, command),
-            )
-        )
-
-
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry", metavar="PATH",
@@ -202,39 +233,6 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _profile_session(args, command: str):
-    """Hot-path profiling scoped to one CLI command (inert without flags)."""
-    from repro.profiling.session import ProfileSession
-
-    return ProfileSession(
-        profile_path=getattr(args, "profile", None),
-        flamegraph_path=getattr(args, "flamegraph", None),
-        meta=_stamp(args, command),
-    )
-
-
-def _finish_profile(args, prof) -> None:
-    """Report capture paths; merge profiler frames into a --trace file.
-
-    Runs after the telemetry session has written the Chrome trace, so the
-    profiler's host-time spans are appended to the finished document.
-    """
-    if prof.profiler is None:
-        return
-    trace = getattr(args, "trace", None)
-    if trace:
-        from repro.profiling import augment_chrome_trace
-
-        path = Path(trace)
-        path.write_text(augment_chrome_trace(path.read_text(), prof.profiler))
-    totals = prof.payload()["totals"]
-    wrote = [str(p) for p in (prof.profile_path, prof.flamegraph_path) if p]
-    print(
-        f"profile : {totals['n_frames']} frame(s), {totals['n_calls']} "
-        f"call(s) -> {', '.join(wrote)}"
-    )
-
-
 def _add_timeseries_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeseries", metavar="PATH",
@@ -245,46 +243,6 @@ def _add_timeseries_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _timeseries_session(args, command: str):
-    """Time-series sampling scoped to one CLI command (inert without flags).
-
-    Must enter *after* the SLO session so a live event bus is already
-    installed when the sampler subscribes its marker hook.
-    """
-    from repro.timeseries import TimeSeriesSession
-
-    return TimeSeriesSession(
-        capture_path=getattr(args, "timeseries", None),
-        meta=_stamp(args, command),
-        force_install=bool(_save_store(args)),
-    )
-
-
-def _peaks(summary: dict, tser) -> dict:
-    """Attach high-water marks to a run summary when sampling was live.
-
-    Sampler-off runs keep their exact pre-existing telemetry bytes; the
-    ``peaks`` block only exists when ``--timeseries`` was given.
-    """
-    if tser.sampler is not None:
-        from repro.timeseries import peaks_summary
-
-        summary["peaks"] = peaks_summary(tser.sampler)
-    return summary
-
-
-def _finish_timeseries(tser) -> None:
-    """One-line confirmation of what the sampler captured and wrote."""
-    if tser.sampler is None or tser.capture_path is None:
-        return
-    sampler = tser.sampler
-    print(
-        f"timeseries : {len(sampler.series)} series, "
-        f"{sampler.n_points()} point(s), {len(sampler.markers)} marker(s) "
-        f"-> {tser.capture_path}"
-    )
-
-
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--save-run", nargs="?", const=DEFAULT_STORE_ROOT, metavar="STORE",
@@ -292,31 +250,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
              "and timeseries, forced on) into the content-addressed run "
              f"store (default {DEFAULT_STORE_ROOT}); inspect with "
              "`repro runs list|show|compare`",
-    )
-
-
-def _save_run_bundle(
-    args, command: str, session, slo, prof, tser, ledger=None, plan=None
-) -> None:
-    """The ``--save-run`` ride-along: snapshot the sessions into the store."""
-    store_root = _save_store(args)
-    if not store_root:
-        return
-    from repro.runs import RunStore, save_run
-
-    bundle = save_run(
-        RunStore(store_root),
-        _stamp(args, command),
-        telemetry=session,
-        slo=slo,
-        profile=prof,
-        timeseries=tser,
-        fault_ledger=ledger,
-        fault_plan=plan,
-    )
-    print(
-        f"run    : {bundle.run_id} ({len(bundle.artifacts)} artifact(s)) "
-        f"-> {store_root}"
     )
 
 
@@ -389,7 +322,7 @@ def _profile_validate(args) -> int:
 def _profile_run(args) -> int:
     """``repro profile WORKLOAD --run MODE``: profile one entry point."""
     from repro.profiling import render_capture
-    from repro.profiling.session import ProfileSession
+    from repro.runs import Capture
 
     if not args.workload:
         print(
@@ -397,15 +330,15 @@ def _profile_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    prof = ProfileSession(
-        profile_path=args.out,
-        flamegraph_path=args.flamegraph,
+    files = {"profile": args.out}
+    if args.flamegraph:
+        files["flamegraph"] = args.flamegraph
+    capture = Capture(
+        _stamp(args, f"profile --run {args.run}"), files,
         sample_memory=args.memory,
-        force_install=True,
-        meta=_stamp(args, f"profile --run {args.run}"),
     )
     try:
-        with prof:
+        with capture:
             if args.run == "train":
                 w = workload(args.workload)
                 wprofile = profile_workload(
@@ -448,7 +381,7 @@ def _profile_run(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro profile: {exc}", file=sys.stderr)
         return 2
-    print(render_capture(prof.payload(), top=args.top))
+    print(render_capture(capture.payload("profile"), top=args.top))
     return 0
 
 
@@ -490,7 +423,7 @@ def _journal_header(args, command: str) -> dict:
 def cmd_train(args, journal=None) -> int:
     w = workload(args.workload)
     try:
-        slo = _slo_session(args, "train")
+        capture = _capture(args, "train")
         plan = _fault_plan(args)
         journal_path = getattr(args, "journal", None)
         if journal is None and journal_path:
@@ -502,9 +435,7 @@ def cmd_train(args, journal=None) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro train: {exc}", file=sys.stderr)
         return 2
-    prof = _profile_session(args, "train")
-    tser = _timeseries_session(args, "train")
-    with _session(args, "train") as session, slo, prof, tser:
+    with capture:
         profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
         env = training_envelope(w, profile)
         if args.qos_multiple is not None:
@@ -527,39 +458,30 @@ def cmd_train(args, journal=None) -> int:
             journal=journal,
         )
         r = run.result
-        session.set_run_summary(
-            _peaks(
-                {
-                    "jct_s": r.jct_s,
-                    "cost_usd": r.cost_usd,
-                    "converged": r.converged,
-                    "n_epochs": len(r.epochs),
-                    "n_restarts": r.n_restarts,
-                    "comm_overhead_s": r.comm_overhead_s,
-                    "scheduling_overhead_s": r.scheduling_overhead_s,
-                    "storage_cost_usd": r.storage_cost_usd,
-                    # Constraint context, so `repro diagnose` on this capture
-                    # can re-judge the scheduler's decisions (ex-post regret).
-                    "objective": objective.value,
-                    "budget_usd": budget,
-                    "qos_s": qos,
-                },
-                tser,
-            )
-        )
+        capture.fault_ledger, capture.fault_plan = run.fault_ledger, plan
+        capture.run_summary = {
+            "jct_s": r.jct_s,
+            "cost_usd": r.cost_usd,
+            "converged": r.converged,
+            "n_epochs": len(r.epochs),
+            "n_restarts": r.n_restarts,
+            "comm_overhead_s": r.comm_overhead_s,
+            "scheduling_overhead_s": r.scheduling_overhead_s,
+            "storage_cost_usd": r.storage_cost_usd,
+            # Constraint context, so `repro diagnose` on this capture can
+            # re-judge the scheduler's decisions (ex-post regret).
+            "objective": objective.value,
+            "budget_usd": budget,
+            "qos_s": qos,
+        }
     print(f"method={args.method}  converged={r.converged}  "
           f"epochs={len(r.epochs)}  restarts={r.n_restarts}")
     print(f"JCT  {format_duration(r.jct_s)}   cost {format_usd(r.cost_usd)}")
     print(f"comm {format_duration(r.comm_overhead_s)}   "
           f"storage {format_usd(r.storage_cost_usd)}   "
           f"scheduling {format_duration(r.scheduling_overhead_s)}")
-    _finish_faults(args, run.fault_ledger, plan, "train")
-    _finish_profile(args, prof)
-    _finish_timeseries(tser)
-    _save_run_bundle(
-        args, "train", session, slo, prof, tser,
-        ledger=run.fault_ledger, plan=plan,
-    )
+    _print_faults(run.fault_ledger)
+    _finish_capture(args, capture)
     if journal is not None:
         # Commit only after the bundle is durable: an interrupted save
         # leaves the journal resumable, and resume regenerates the exact
@@ -570,7 +492,7 @@ def cmd_train(args, journal=None) -> int:
         )
         journal.close()
         print(f"journal: {len(r.epochs)} epoch boundary(ies) committed")
-    return _finish_slo(slo)
+    return _finish_slo(capture)
 
 
 def cmd_resume(args) -> int:
@@ -619,14 +541,12 @@ def cmd_tune(args) -> int:
     w = workload(args.workload)
     spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
     try:
-        slo = _slo_session(args, "tune")
+        capture = _capture(args, "tune")
         plan = _fault_plan(args)
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro tune: {exc}", file=sys.stderr)
         return 2
-    prof = _profile_session(args, "tune")
-    tser = _timeseries_session(args, "tune")
-    with _session(args, "tune") as session, slo, prof, tser:
+    with capture:
         profile = profile_workload(w)
         env = tuning_envelope(profile, spec)
         budget = env.budget(args.budget_multiple)
@@ -637,32 +557,23 @@ def cmd_tune(args) -> int:
             fault_plan=plan,
         )
         r = run.result
-        session.set_run_summary(
-            _peaks(
-                {
-                    "jct_s": r.jct_s,
-                    "cost_usd": r.cost_usd,
-                    "comm_overhead_s": r.comm_overhead_s,
-                    "scheduling_overhead_s": r.scheduling_overhead_s,
-                    "n_stages": len(r.stages),
-                },
-                tser,
-            )
-        )
+        capture.fault_ledger, capture.fault_plan = run.fault_ledger, plan
+        capture.run_summary = {
+            "jct_s": r.jct_s,
+            "cost_usd": r.cost_usd,
+            "comm_overhead_s": r.comm_overhead_s,
+            "scheduling_overhead_s": r.scheduling_overhead_s,
+            "n_stages": len(r.stages),
+        }
     print(f"SHA {spec.n_trials} trials / {spec.n_stages} stages; "
           f"budget {format_usd(budget)}")
     print(f"method={args.method}  JCT {format_duration(r.jct_s)}  "
           f"cost {format_usd(r.cost_usd)}")
     print(f"winner: lr={r.winner.learning_rate:.2e} "
           f"momentum={r.winner.momentum:.2f} (quality {r.winner.quality:.2f})")
-    _finish_faults(args, run.fault_ledger, plan, "tune")
-    _finish_profile(args, prof)
-    _finish_timeseries(tser)
-    _save_run_bundle(
-        args, "tune", session, slo, prof, tser,
-        ledger=run.fault_ledger, plan=plan,
-    )
-    return _finish_slo(slo)
+    _print_faults(run.fault_ledger)
+    _finish_capture(args, capture)
+    return _finish_slo(capture)
 
 
 def cmd_workflow(args) -> int:
@@ -670,37 +581,31 @@ def cmd_workflow(args) -> int:
 
     spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
     try:
-        slo = _slo_session(args, "workflow")
+        capture = _capture(args, "workflow")
         plan = _fault_plan(args)
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro workflow: {exc}", file=sys.stderr)
         return 2
-    prof = _profile_session(args, "workflow")
-    tser = _timeseries_session(args, "workflow")
-    with _session(args, "workflow") as session, slo, prof, tser:
+    with capture:
         result = run_workflow(
             args.workload, spec, budget_usd=args.budget,
             tuning_fraction=args.tuning_fraction, seed=args.seed,
             fault_plan=plan,
         )
-        session.set_run_summary(
-            _peaks(
-                {
-                    "jct_s": result.total_jct_s,
-                    "cost_usd": result.total_cost_usd,
-                    "converged": result.training.converged,
-                    "comm_overhead_s": (
-                        result.tuning.comm_overhead_s
-                        + result.training.comm_overhead_s
-                    ),
-                    "scheduling_overhead_s": (
-                        result.tuning.scheduling_overhead_s
-                        + result.training.scheduling_overhead_s
-                    ),
-                },
-                tser,
-            )
-        )
+        capture.fault_ledger, capture.fault_plan = result.fault_ledger, plan
+        capture.run_summary = {
+            "jct_s": result.total_jct_s,
+            "cost_usd": result.total_cost_usd,
+            "converged": result.training.converged,
+            "comm_overhead_s": (
+                result.tuning.comm_overhead_s
+                + result.training.comm_overhead_s
+            ),
+            "scheduling_overhead_s": (
+                result.tuning.scheduling_overhead_s
+                + result.training.scheduling_overhead_s
+            ),
+        }
     print(f"tuning : JCT {format_duration(result.tuning.jct_s)}  "
           f"cost {format_usd(result.tuning.cost_usd)}  "
           f"winner lr={result.winner.learning_rate:.2e} "
@@ -711,14 +616,9 @@ def cmd_workflow(args) -> int:
     print(f"total  : JCT {format_duration(result.total_jct_s)}  "
           f"cost {format_usd(result.total_cost_usd)} / "
           f"{format_usd(args.budget)}")
-    _finish_faults(args, result.fault_ledger, plan, "workflow")
-    _finish_profile(args, prof)
-    _finish_timeseries(tser)
-    _save_run_bundle(
-        args, "workflow", session, slo, prof, tser,
-        ledger=result.fault_ledger, plan=plan,
-    )
-    return _finish_slo(slo)
+    _print_faults(result.fault_ledger)
+    _finish_capture(args, capture)
+    return _finish_slo(capture)
 
 
 def cmd_report(args) -> int:
@@ -739,7 +639,8 @@ def cmd_report(args) -> int:
 
 def cmd_dash(args) -> int:
     """``repro dash``: terminal dashboard, from a live run or a capture."""
-    from repro.timeseries import TimeSeriesSession, load_capture, render_dashboard
+    from repro.runs import Capture
+    from repro.timeseries import load_capture, render_dashboard
 
     if args.replay:
         try:
@@ -759,13 +660,9 @@ def cmd_dash(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro dash: {exc}", file=sys.stderr)
         return 2
-    tser = TimeSeriesSession(
-        capture_path=args.out,
-        force_install=True,
-        meta=_stamp(args, "dash"),
-    )
+    capture = Capture(_stamp(args, "dash"), {"timeseries": args.out})
     try:
-        with tser:
+        with capture:
             w = workload(args.workload)
             profile = profile_workload(w)
             env = training_envelope(w, profile)
@@ -782,7 +679,10 @@ def cmd_dash(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro dash: {exc}", file=sys.stderr)
         return 2
-    print(render_dashboard(tser.payload(), width=args.width), end="")
+    print(
+        render_dashboard(capture.payload("timeseries"), width=args.width),
+        end="",
+    )
     return 0
 
 
@@ -853,24 +753,21 @@ def cmd_timeseries(args) -> int:
     return 1 if has_drift(report) else 0
 
 
-def _parse_stragglers(values: list[str]) -> dict[int, float]:
-    """Parse repeated ``RANK:FACTOR`` fault-injection flags."""
-    out: dict[int, float] = {}
-    for item in values:
-        rank, _, factor = item.partition(":")
-        try:
-            out[int(rank)] = float(factor)
-        except ValueError:
-            raise SystemExit(f"--straggler expects RANK:FACTOR, got {item!r}")
-    return out
+def _straggler(item: str) -> tuple[int, float]:
+    """Parse one ``--straggler RANK:FACTOR`` flag."""
+    rank, _, factor = item.partition(":")
+    try:
+        return int(rank), float(factor)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects RANK:FACTOR, got {item!r}"
+        ) from None
 
 
 def cmd_diagnose(args) -> int:
     import json
 
     from repro.diagnostics import RunObservation, diagnose
-    from repro.telemetry import get_registry, set_registry
-    from repro.telemetry.metrics import MetricsRegistry
 
     slo_spec = None
     if getattr(args, "slo", None):
@@ -916,6 +813,13 @@ def cmd_diagnose(args) -> int:
             file=sys.stderr,
         )
         return 2
+    elif args.target not in WORKLOADS:
+        print(
+            f"repro diagnose: {args.target!r} is neither a capture file nor "
+            f"a workload (choose from {', '.join(_WORKLOAD_NAMES)})",
+            file=sys.stderr,
+        )
+        return 2
     else:
         # Live mode: run the training job here, then diagnose it in full
         # fidelity (per-worker timings, restart split, Pareto candidates).
@@ -932,32 +836,28 @@ def cmd_diagnose(args) -> int:
                 else env.budget(args.budget_multiple)
             )
             qos = None
-        registry = MetricsRegistry()
-        prev = get_registry()
-        set_registry(registry)
         # Live mode: --timeseries samples this run and writes the capture
         # to that path; the fresh series feed the anomaly detector.
-        from repro.timeseries import TimeSeriesSession
+        from repro.runs import Capture
 
-        tser = TimeSeriesSession(
-            capture_path=getattr(args, "timeseries", None),
-            meta=_stamp(args, "diagnose", workload_name=args.target),
+        files = {"telemetry": None}
+        if getattr(args, "timeseries", None):
+            files["timeseries"] = args.timeseries
+        capture = Capture(
+            _stamp(args, "diagnose", workload_name=args.target), files
         )
-        try:
-            with tser:
-                run = run_training(
-                    w, method=args.method, objective=objective,
-                    budget_usd=budget,
-                    qos_s=qos, seed=args.seed, profile=profile,
-                    storage_pin=_parse_storage(args.storage),
-                    straggler_factors=_parse_stragglers(args.straggler),
-                    fault_plan=fault_plan,
-                )
-        finally:
-            set_registry(prev)
-        if tser.sampler is not None:
-            ts_payload = tser.payload()
-        obs = RunObservation.from_training_run(run, registry=registry)
+        with capture:
+            run = run_training(
+                w, method=args.method, objective=objective,
+                budget_usd=budget,
+                qos_s=qos, seed=args.seed, profile=profile,
+                storage_pin=_parse_storage(args.storage),
+                straggler_factors=dict(args.straggler),
+                fault_plan=fault_plan,
+            )
+        if capture.sampler is not None:
+            ts_payload = capture.payload("timeseries")
+        obs = RunObservation.from_training_run(run, registry=capture.registry)
         candidates = run.profile.candidates
         faults_summary = run.result.extra.get("faults")
     if faults_summary is None and getattr(args, "fault_report", None):
@@ -1015,7 +915,7 @@ def _evaluate_capture(spec, capture: str):
 
 def _run_guarded(spec, args):
     """Run one training job under the guard; returns the SLO report."""
-    from repro.slo import SLOSession, evaluate_guard
+    from repro.runs import Capture
 
     w = workload(args.workload)
     profile = profile_workload(w)
@@ -1024,17 +924,14 @@ def _run_guarded(spec, args):
         args.budget if args.budget is not None
         else env.budget(args.budget_multiple)
     )
-    session = SLOSession(
-        spec=spec,
-        events_path=getattr(args, "events", None),
-        meta=_stamp(args, "slo"),
-    )
-    with session:
+    files = {"events": args.events} if getattr(args, "events", None) else {}
+    capture = Capture(_stamp(args, "slo"), files, slo_spec=spec)
+    with capture:
         run_training(
             w, method=args.method, objective=Objective.MIN_JCT_GIVEN_BUDGET,
             budget_usd=budget, seed=args.seed, profile=profile,
         )
-    return evaluate_guard(session.guard, meta=session.meta)
+    return capture.slo_report
 
 
 def cmd_slo(args) -> int:
@@ -1374,8 +1271,18 @@ def cmd_analyze(args) -> int:
     return 1 if new else 0
 
 
+_WORKLOAD_NAMES = sorted(WORKLOADS)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one stderr line, like every input error."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="CE-scaling reproduction (IPDPS 2023): profile, train, "
                     "tune, and regenerate the paper's experiments.",
@@ -1397,7 +1304,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "frame regressed past --threshold); --validate checks "
                     "a capture against the schema registry.",
     )
-    p.add_argument("workload", nargs="?",
+    p.add_argument("workload", nargs="?", choices=_WORKLOAD_NAMES,
+                   metavar="WORKLOAD",
                    help="workload name (omit with --diff / --validate)")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
     p.add_argument("--run", choices=("train", "tune", "workflow"),
@@ -1435,7 +1343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("train", help="run one training job")
-    p.add_argument("workload")
+    p.add_argument("workload", choices=_WORKLOAD_NAMES, metavar="WORKLOAD")
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
     p.add_argument("--budget", type=float, help="absolute budget in USD")
     p.add_argument("--budget-multiple", type=float, default=2.5,
@@ -1472,7 +1380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_resume)
 
     p = sub.add_parser("tune", help="run one hyperparameter-tuning job")
-    p.add_argument("workload")
+    p.add_argument("workload", choices=_WORKLOAD_NAMES, metavar="WORKLOAD")
     p.add_argument("--method", default="ce-scaling", choices=TUNING_METHODS)
     p.add_argument("--trials", type=int, default=256)
     p.add_argument("--eta", type=int, default=2)
@@ -1488,7 +1396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tune)
 
     p = sub.add_parser("workflow", help="run the full tune-then-train pipeline")
-    p.add_argument("workload")
+    p.add_argument("workload", choices=_WORKLOAD_NAMES, metavar="WORKLOAD")
     p.add_argument("--budget", type=float, default=25.0)
     p.add_argument("--tuning-fraction", type=float, default=0.4)
     p.add_argument("--trials", type=int, default=32)
@@ -1533,7 +1441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--straggler", action="append", default=[],
-                   metavar="RANK:FACTOR",
+                   type=_straggler, metavar="RANK:FACTOR",
                    help="inject a compute slowdown on one worker rank "
                         "(repeatable; live mode only)")
     p.add_argument("--format", default="table", choices=("table", "json"))
@@ -1570,7 +1478,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "training job here under the live sampler (optionally "
                     "writing the capture with --out).",
     )
-    p.add_argument("workload", nargs="?",
+    p.add_argument("workload", nargs="?", choices=_WORKLOAD_NAMES,
+                   metavar="WORKLOAD",
                    help="workload name for a live sampled run "
                         "(omit with --replay)")
     p.add_argument("--replay", metavar="CAPTURE",
@@ -1617,7 +1526,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "training job here under the live guard. Exits 0 when "
                     "every objective is met, 1 on violation, 2 on errors.",
     )
-    p.add_argument("workload", nargs="?",
+    p.add_argument("workload", nargs="?", choices=_WORKLOAD_NAMES,
+                   metavar="WORKLOAD",
                    help="workload name for a live guarded run "
                         "(omit with --capture)")
     p.add_argument("--spec", required=True, metavar="PATH",

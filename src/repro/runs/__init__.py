@@ -13,7 +13,8 @@ existing diff surfaces into a single ``repro-compare/v1`` verdict.
 * :mod:`repro.runs.bundle` — manifests, artifacts, run-id derivation;
 * :mod:`repro.runs.store` — the content-addressed local registry;
 * :mod:`repro.runs.compare` — the cross-run regression observatory;
-* :mod:`repro.runs.saver` — the ``--save-run`` session snapshotter.
+* :mod:`repro.runs.saver` — :class:`Capture`, the one capture session,
+  and the ``--save-run`` bundler.
 """
 
 from repro.runs.bundle import (
@@ -36,13 +37,15 @@ from repro.runs.compare import (
     render_compare,
 )
 from repro.runs.provenance import ProvenanceStamp, hash_config
-from repro.runs.saver import collect_artifacts, save_run
+from repro.runs.saver import BUNDLE_KINDS, Capture, collect_artifacts, save_run
 from repro.runs.store import DEFAULT_STORE_ROOT, RunStore
 
 __all__ = [
     "ARTIFACT_KINDS",
     "Artifact",
+    "BUNDLE_KINDS",
     "BUNDLE_SCHEMA",
+    "Capture",
     "COMPARE_SCHEMA",
     "DEFAULT_STORE_ROOT",
     "HOST_TIMED_KINDS",

@@ -12,8 +12,8 @@ caller installs real collectors::
     ...  # run jobs; platform/scheduler/planner/storage record as they go
     print(to_prometheus_text(registry.snapshot()))
 
-or, scoped, via :class:`repro.telemetry.session.TelemetrySession` (what the
-CLI's ``--telemetry`` / ``--trace`` flags use). Instrumentation components
+or, scoped, via :class:`repro.runs.Capture` with ``telemetry`` / ``trace``
+kinds (what the CLI's ``--telemetry`` / ``--trace`` flags use). Instrumentation components
 capture the globals at *construction* time, so install collectors before
 building platforms/schedulers (``run_training`` et al. construct everything
 per call, which makes this automatic).

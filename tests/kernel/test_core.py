@@ -109,12 +109,7 @@ class TestProcesses:
             kernel.run(max_events=50)
 
 
-class TestFaasShim:
-    def test_simulator_is_the_kernel(self):
-        from repro.faas.events import Simulator
-
-        assert Simulator is EventKernel
-
+class TestFaasOnKernel:
     def test_platform_runs_on_the_kernel(self):
         from repro.faas.platform import FaaSPlatform
 

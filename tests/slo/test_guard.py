@@ -8,9 +8,9 @@ trace captures byte-identical to a guard-off run.
 
 import json
 
+from repro.runs import Capture
 from repro.slo import (
     SLOGuard,
-    SLOSession,
     SLOSpec,
     evaluate_guard,
     replay_events,
@@ -63,7 +63,7 @@ class TestProjectionBeforeMiss:
         deadline = 0.6 * unguarded.jct_s
 
         spec = SLOSpec(name="tight", deadline_s=deadline)
-        with SLOSession(spec=spec) as session:
+        with Capture(None, {}, slo_spec=spec) as session:
             guarded = _run(lr_higgs, lr_profile, seed=0, max_epochs=400)
 
         by_rule = {a.rule: a for a in session.guard.alerts}
@@ -81,7 +81,7 @@ class TestProjectionBeforeMiss:
 class TestReplay:
     def test_replay_matches_live_guard(self, mobilenet, mobilenet_profile):
         spec = SLOSpec(name="replay", deadline_s=60.0, budget_usd=1.0)
-        with SLOSession(spec=spec) as session:
+        with Capture(None, {}, slo_spec=spec) as session:
             _run(mobilenet, mobilenet_profile)
         live = evaluate_guard(session.guard)
 
@@ -100,9 +100,9 @@ class TestReplay:
         self, tmp_path, mobilenet, mobilenet_profile
     ):
         path = tmp_path / "events.jsonl"
-        with SLOSession(events_path=path, meta={"seed": 9}) as session:
+        with Capture({"seed": 9}, {"events": path}) as session:
             _run(mobilenet, mobilenet_profile)
-        assert session.guard is None  # log-only session
+        assert session.guard is None  # log-only capture
         log = EventLog.from_jsonl(path.read_text())
         assert log.meta == {"seed": 9}
         assert {e.kind for e in log.events} >= {"plan_chosen", "epoch_done"}
@@ -114,7 +114,7 @@ class TestDeterminism:
     ):
         texts = []
         for _ in range(2):
-            with SLOSession(spec=_quiet_spec()) as session:
+            with Capture(None, {}, slo_spec=_quiet_spec()) as session:
                 _run(mobilenet, mobilenet_profile)
             texts.append(session.log.to_jsonl())
         assert texts[0] == texts[1]
@@ -125,12 +125,12 @@ class TestDeterminism:
         """A guarded run with zero alerts must not leave any footprint in
         the metrics snapshot or the Chrome trace."""
 
-        def capture(slo_session):
+        def capture(slo_capture):
             registry, tracer = MetricsRegistry(), Tracer()
             set_registry(registry)
             set_tracer(tracer)
             try:
-                with slo_session:
+                with slo_capture:
                     _run(mobilenet, mobilenet_profile)
             finally:
                 set_registry(None)
@@ -140,8 +140,8 @@ class TestDeterminism:
             )
             return metrics, tracer.to_chrome_trace()
 
-        off_metrics, off_trace = capture(SLOSession())  # inert session
-        on_metrics, on_trace = capture(SLOSession(spec=_quiet_spec()))
+        off_metrics, off_trace = capture(Capture(None, {}))  # inert
+        on_metrics, on_trace = capture(Capture(None, {}, slo_spec=_quiet_spec()))
         assert on_metrics == off_metrics
         assert on_trace == off_trace
 
@@ -155,7 +155,7 @@ class TestDeterminism:
         set_tracer(tracer)
         try:
             spec = SLOSpec(name="tight", deadline_s=1.0)
-            with SLOSession(spec=spec) as session:
+            with Capture(None, {}, slo_spec=spec) as session:
                 _run(mobilenet, mobilenet_profile)
         finally:
             set_registry(None)

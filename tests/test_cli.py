@@ -24,6 +24,31 @@ class TestParser:
             build_parser().parse_args(["train", "lr-higgs", "--method", "magic"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "nosuch"],
+        ["tune", "nosuch"],
+        ["workflow", "nosuch"],
+        ["profile", "nosuch"],
+        ["diagnose", "nosuch"],
+        ["dash", "nosuch"],
+        ["slo", "--spec", "examples/slo_spec.json", "nosuch"],
+        ["diagnose", "lr-higgs", "--straggler", "3:x"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_exits_2_with_one_stderr_line(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects it before dispatch
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert err.count("\n") == 1
+
+
 class TestCommands:
     def test_list_workloads(self, capsys):
         assert main(["list-workloads"]) == 0
@@ -77,10 +102,9 @@ class TestCommands:
         assert "Table I" in out
 
     def test_unknown_workload_raises(self):
-        from repro.common.errors import ValidationError
-
-        with pytest.raises(ValidationError):
+        with pytest.raises(SystemExit) as exc:
             main(["profile", "alexnet-imagenet"])
+        assert exc.value.code == 2
 
 
 class TestTelemetryFlags:

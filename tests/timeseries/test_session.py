@@ -1,12 +1,12 @@
-"""TimeSeriesSession: scoped install/restore, capture export, peaks."""
+"""Sampling under a Capture: scoped install/restore, capture export, peaks."""
 
 import pytest
 
+from repro.runs import Capture
 from repro.slo.events import EventBus, get_event_bus, set_event_bus
 from repro.timeseries import (
     NullSampler,
     TimeSeriesSampler,
-    TimeSeriesSession,
     get_sampler,
     load_capture,
     peaks_summary,
@@ -14,22 +14,26 @@ from repro.timeseries import (
 )
 
 
+def _sampling(path=None, meta=None) -> Capture:
+    return Capture(meta, {"timeseries": path})
+
+
 class TestLifecycle:
     def test_inert_without_flags(self):
-        session = TimeSeriesSession()
-        assert not session.active
-        with session:
+        capture = Capture(None, {})
+        with capture:
             assert isinstance(get_sampler(), NullSampler)
-        assert session.sampler is None
+        assert capture.sampler is None
+        assert capture.artifacts == {}
 
-    def test_force_install_and_restore(self):
-        with TimeSeriesSession(force_install=True) as session:
-            assert get_sampler() is session.sampler
+    def test_collect_only_installs_and_restores(self):
+        with _sampling() as capture:
+            assert get_sampler() is capture.sampler
         assert isinstance(get_sampler(), NullSampler)
 
     def test_sessions_nest(self):
-        with TimeSeriesSession(force_install=True) as outer:
-            with TimeSeriesSession(force_install=True) as inner:
+        with _sampling() as outer:
+            with _sampling() as inner:
                 assert get_sampler() is inner.sampler
             assert get_sampler() is outer.sampler
         assert isinstance(get_sampler(), NullSampler)
@@ -38,7 +42,7 @@ class TestLifecycle:
         mine = TimeSeriesSampler()
         set_sampler(mine)
         try:
-            with TimeSeriesSession(force_install=True):
+            with _sampling():
                 assert get_sampler() is not mine
             assert get_sampler() is mine
         finally:
@@ -46,22 +50,23 @@ class TestLifecycle:
 
     def test_payload_requires_entry(self):
         with pytest.raises(RuntimeError):
-            TimeSeriesSession(force_install=True).payload()
+            _sampling().payload("timeseries")
 
 
 class TestExport:
     def test_writes_capture_on_clean_exit(self, tmp_path):
         path = tmp_path / "ts.json"
-        with TimeSeriesSession(capture_path=path, meta={"seed": 1}):
+        with _sampling(path, meta={"seed": 1}) as capture:
             get_sampler().sample("a", 0.0, 1.0)
         payload = load_capture(path.read_text())
         assert payload["meta"] == {"seed": 1}
         assert payload["totals"]["n_series"] == 1
+        assert path.read_text() == capture.artifacts["timeseries"]
 
     def test_no_capture_over_a_crash(self, tmp_path):
         path = tmp_path / "ts.json"
         with pytest.raises(RuntimeError):
-            with TimeSeriesSession(capture_path=path):
+            with _sampling(path):
                 raise RuntimeError("boom")
         assert not path.exists()
         # The previous (null) sampler is still restored.
@@ -74,17 +79,17 @@ class TestBusMarkers:
         prev = get_event_bus()
         set_event_bus(bus)
         try:
-            with TimeSeriesSession(force_install=True) as session:
+            with _sampling() as capture:
                 bus.emit("epoch_done", 2.5, scope="train")
-            marks = [(m.kind, m.t_s, m.label) for m in session.sampler.markers]
+            marks = [(m.kind, m.t_s, m.label) for m in capture.sampler.markers]
         finally:
             set_event_bus(prev)
         assert marks == [("epoch_done", 2.5, "train")]
 
     def test_null_bus_is_ignored(self):
-        with TimeSeriesSession(force_install=True) as session:
+        with _sampling() as capture:
             pass
-        assert session.sampler.markers == []
+        assert capture.sampler.markers == []
 
 
 class TestPeaksSummary:
