@@ -414,7 +414,7 @@ def cmd_profile(args) -> int:
 def _journal_header(args, command: str) -> dict:
     """The ``repro-journal/v1`` header payload: everything ``repro
     resume`` needs to re-execute the run under the original identity
-    (flags *and* argv, since provenance metadata embeds argv)."""
+    (flags *and* argv, since the bundle manifest records argv)."""
     saved = {k: v for k, v in vars(args).items() if k != "fn"}
     saved["_argv"] = [str(a) for a in saved.get("_argv", ())]
     return {"command": command, "args": saved}
@@ -1672,8 +1672,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    # Provenance stamping records the exact invocation (informational
-    # only: argv never feeds run-id derivation).
+    # Provenance stamping records the exact invocation on the bundle
+    # manifest (informational only: argv never feeds run-id derivation).
     args._argv = tuple(argv)
     try:
         return args.fn(args)

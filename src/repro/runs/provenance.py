@@ -12,7 +12,9 @@ carry the same provenance core and can be re-associated later.
 The stamp's :meth:`identity` is deliberately narrower than its
 :meth:`to_meta`: output paths and store locations (argv) never influence
 the run id, so saving the same run into two different stores yields the
-same ``r<hash>`` identifier.
+same ``r<hash>`` identifier. For the same reason a
+:class:`~repro.runs.Capture` stamps artifacts without argv (the run id
+hashes their bytes); only the bundle manifest records it.
 """
 
 from __future__ import annotations

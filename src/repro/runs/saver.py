@@ -25,10 +25,12 @@ imports the collector packages, and the CLI imports this module at start.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from repro.common.meta import coerce_meta
 from repro.runs.bundle import ARTIFACT_KINDS, RunBundle
+from repro.runs.provenance import ProvenanceStamp
 from repro.runs.store import RunStore
 
 #: What ``--save-run`` bundles beyond the files a command was asked for.
@@ -43,7 +45,9 @@ class Capture:
     Args:
         stamp: the run's :class:`~repro.runs.ProvenanceStamp` (or a plain
             meta dict; :func:`save_run` needs a stamp) — every artifact's
-            ``meta`` block.
+            ``meta`` block. Artifacts carry it without argv, which names
+            output paths; only the bundle manifest keeps argv, so a run's
+            id does not depend on where its files went.
         files: artifact kind -> output path, or ``None`` to collect the
             kind without writing it. Kinds are those of
             :data:`~repro.runs.bundle.ARTIFACT_KINDS`.
@@ -73,7 +77,9 @@ class Capture:
 
             slo_spec = SLOSpec.load(slo_spec)
         self.stamp = stamp
-        self.meta = coerce_meta(stamp)
+        self.meta = coerce_meta(
+            replace(stamp, argv=()) if isinstance(stamp, ProvenanceStamp) else stamp
+        )
         self.files = {
             kind: Path(path) if path is not None else None
             for kind, path in files.items()

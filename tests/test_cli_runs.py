@@ -142,6 +142,30 @@ class TestSaveRun:
         assert len(written["traceEvents"]) > n
 
 
+    def test_run_id_ignores_output_paths(self, tmp_path, capsys):
+        """Saving the same run into two stores, with different capture
+        paths, yields one run id; argv stays on the manifest only."""
+        ids = []
+        for name in ("a", "b"):
+            store = tmp_path / f"store-{name}"
+            assert main(
+                ["train", "lr-higgs", "--budget", "2.0",
+                 "--telemetry", str(tmp_path / f"tel-{name}.json"),
+                 "--save-run", str(store)]
+            ) == 0
+            (run_id,) = RunStore(store).run_ids()
+            manifest = RunStore(store).load(run_id)
+            assert str(store) in manifest["meta"]["provenance"]["argv"]
+            telemetry = json.loads(RunStore(store).read_artifact(manifest, "telemetry"))
+            assert telemetry["meta"]["provenance"]["argv"] == []
+            ids.append(run_id)
+        capsys.readouterr()
+        assert ids[0] == ids[1]
+        assert (tmp_path / "tel-a.json").read_bytes() == (
+            tmp_path / "tel-b.json"
+        ).read_bytes()
+
+
 class TestRunsCommand:
     def test_list_table_and_ids(self, populated, capsys):
         argv = ["runs", "list", "--store", str(populated["store"])]
